@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -223,11 +224,12 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	// Validate the declared geometry against the bytes actually present
 	// before allocating: a corrupt rank or mode size must fail with an exact
 	// got/want count, not an allocation of whatever the header claims.
-	var want uint64
-	for _, d := range dims {
-		want += uint64(d) * uint64(rank)
+	// Every step is overflow-checked: a wrapped sum could match a short
+	// file and then size the allocations below from the raw header.
+	want, ok := ckptMatrixBytes(dims, rank)
+	if !ok {
+		return nil, fmt.Errorf("core: %s: corrupt checkpoint header: dims=%v rank=%d overflow the matrix byte count", path, dims, rank)
 	}
-	want *= 3 * 8 // factors+aux+duals groups, 8 bytes per float64
 	if got := uint64(r.Len()); got != want {
 		return nil, fmt.Errorf("core: %s: checkpoint holds %d bytes of matrix data, want %d for dims=%v rank=%d (truncated or corrupt)",
 			path, got, want, dims, rank)
@@ -245,6 +247,26 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 		*group = ms
 	}
 	return ck, nil
+}
+
+// ckptMatrixBytes returns 3·8·Σ dims[n]·rank, the byte count of the factor,
+// aux and dual matrices a header declares, and false when that count does
+// not fit in a uint64.
+func ckptMatrixBytes(dims []uint32, rank uint32) (uint64, bool) {
+	var sum uint64
+	for _, d := range dims {
+		hi, cells := bits.Mul64(uint64(d), uint64(rank))
+		if hi != 0 {
+			return 0, false
+		}
+		var carry uint64
+		sum, carry = bits.Add64(sum, cells, 0)
+		if carry != 0 {
+			return 0, false
+		}
+	}
+	hi, total := bits.Mul64(sum, 3*8) // factors+aux+duals, 8 bytes per float64
+	return total, hi == 0
 }
 
 // readCheckpoint parses dir's checkpoint file into the solver's internal

@@ -189,6 +189,19 @@ func TestReadCheckpointRejectsCorruptImages(t *testing.T) {
 			}),
 			want: []string{"bytes of matrix data"},
 		},
+		{
+			// 2³¹·2³⁰·24 = 3·2⁶⁴ wraps a plain uint64 sum to 0, which a
+			// 36-byte image with no matrix data would then match.
+			name: "geometry overflowing the byte count",
+			img: corrupt(func(b []byte) []byte {
+				b = b[:offDims+4]
+				binary.LittleEndian.PutUint32(b[offOrder:], 1)
+				binary.LittleEndian.PutUint32(b[offRank:], 1<<30)
+				binary.LittleEndian.PutUint32(b[offDims:], 1<<31)
+				return b
+			}),
+			want: []string{"corrupt checkpoint header", "overflow"},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := filepath.Join(t.TempDir(), "solver.ckpt")

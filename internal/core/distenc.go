@@ -172,8 +172,7 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 			c.RecordDriverSpan("gram", gramStart, gramDur)
 		}
 		drvStart := time.Now()
-		next, bs := st.iterateWith(grams, func(mode int) *mat.Dense { return hs[mode] })
-		delta := st.advanceNoResid(next, bs)
+		delta := st.step(grams, func(mode int) *mat.Dense { return hs[mode] })
 		drvDur := time.Since(drvStart)
 		if opt.CheckpointEvery > 0 {
 			ckStart := time.Now()
@@ -439,22 +438,9 @@ func distributedGram(c *rdd.Cluster, f *mat.Dense, bounds part.Boundaries) (*mat
 		//distenc:coldpath -- one R×R slab per task that escapes through Reduce into the solver's Eq. 16 algebra; arena memory must not outlive the iteration
 		g := make([]float64, rank*rank)
 		for _, row := range in {
-			for i := 0; i < rank; i++ {
-				vi := row[i]
-				if vi == 0 {
-					continue
-				}
-				gi := g[i*rank : (i+1)*rank]
-				for j := i; j < rank; j++ {
-					gi[j] += vi * row[j]
-				}
-			}
+			mat.AddGramUpper(g, row)
 		}
-		for i := 1; i < rank; i++ {
-			for j := 0; j < i; j++ {
-				g[i*rank+j] = g[j*rank+i]
-			}
-		}
+		mat.MirrorUpper(g, rank)
 		return [][]float64{g}, nil
 	})
 	sum, ok, err := rdd.Reduce(partial, func(a, b []float64) []float64 {

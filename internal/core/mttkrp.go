@@ -293,7 +293,7 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 	}
 	// Snapshot the factor slice: under speculative execution a losing
 	// duplicate attempt can outlive this stage, and the solver overwrites
-	// its factors slice entries (advance/advanceNoResid) as soon as the
+	// its factors slice entries (solverState.step) as soon as the
 	// stage returns. The matrices themselves are immutable once published —
 	// only the slice slots are rewritten — so a shallow clone pins what the
 	// zombie reads.

@@ -200,28 +200,40 @@ func initFactors(dims []int, rank int, seed uint64) []*mat.Dense {
 
 // spectra precomputes the per-mode spectral machinery (nil when a mode has
 // no similarity). With TruncK = 0 each Laplacian is decomposed exactly.
+//
+// The modes are decomposed concurrently. Each truncated mode's Lanczos start
+// vector is drawn first, serially and in mode order, from the one PCG stream
+// a mode-by-mode loop would consume, so the spectra are bit-identical to
+// that loop's whatever the scheduling.
 func spectra(sims []*graph.Similarity, truncK int, seed uint64) ([]*graph.Spectral, error) {
 	if sims == nil {
 		return nil, nil
 	}
 	rng := rand.New(rand.NewPCG(seed, 0x5bec7))
-	out := make([]*graph.Spectral, len(sims))
+	starts := make([][]float64, len(sims))
 	for n, s := range sims {
+		if s != nil && s.NumEdges() > 0 && truncK > 0 && truncK < s.N {
+			starts[n] = mat.LanczosStart(s.N, rng)
+		}
+	}
+	out := make([]*graph.Spectral, len(sims))
+	errs := make([]error, len(sims))
+	mat.ParallelFor(len(sims), func(n int) {
+		s := sims[n]
 		if s == nil || s.NumEdges() == 0 {
-			continue
+			return
 		}
 		l := graph.NewLaplacian(s)
-		var sp *graph.Spectral
-		var err error
-		if truncK > 0 && truncK < s.N {
-			sp, err = graph.TruncatedSpectral(l, truncK, rng)
+		if starts[n] != nil {
+			out[n], errs[n] = graph.TruncatedSpectralFrom(l, truncK, starts[n])
 		} else {
-			sp, err = graph.ExactSpectral(l)
+			out[n], errs[n] = graph.ExactSpectral(l)
 		}
+	})
+	for n, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: eigendecomposing mode %d Laplacian: %w", n, err)
 		}
-		out[n] = sp
 	}
 	return out, nil
 }

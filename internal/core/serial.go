@@ -67,17 +67,20 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 		// MTTKRPMap phase and the timing breakdown stays comparable across
 		// solvers.
 		var kernel time.Duration
-		next, bs := st.iterateWith(grams, func(mode int) *mat.Dense {
+		delta := st.step(grams, func(mode int) *mat.Dense {
 			t0 := time.Now()
 			h := sptensor.MTTKRP(st.resid, st.factors, mode, st.scratch)
 			kernel += time.Since(t0)
 			return h
 		})
-		delta := st.advance(next, bs)
+		// Residual refresh E = Ω∗(T − [[A_{t+1}]]) (§III-D; see DESIGN.md
+		// on the Algorithm 3 line-13 typo).
+		t0 := time.Now()
+		st.resid = sptensor.Residual(st.t, sptensor.NewKruskal(st.factors...))
+		kernel += time.Since(t0)
 		if err := st.maybeCheckpoint(); err != nil {
 			return nil, err
 		}
-		kernel += st.residDur
 		iterDur := time.Since(iterStart)
 		st.phases = append(st.phases, metrics.PhaseTimes{
 			Iter:      st.iter,
@@ -112,8 +115,8 @@ type solverState struct {
 	opt     Options
 	sp      []*graph.Spectral
 	factors []*mat.Dense // A(n)
-	aux     []*mat.Dense // B(n)
-	mult    []*mat.Dense // Y(n)
+	aux     []*mat.Dense // B(n), updated in place by step
+	mult    []*mat.Dense // Y(n), updated in place by step
 	resid   *sptensor.Tensor
 	eta     float64
 	iter    int
@@ -122,8 +125,9 @@ type solverState struct {
 	converged bool
 	trace     metrics.Trace
 	phases    metrics.PhaseBreakdown
-	residDur  time.Duration // time of the last residual refresh in advance
 	scratch   []float64
+	next      []*mat.Dense // step's new factors, before they are committed
+	drv       modeStep     // step's reusable buffers
 }
 
 func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solverState {
@@ -134,6 +138,8 @@ func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solv
 		factors: initFactors(t.Dims, opt.Rank, opt.Seed),
 		eta:     opt.Eta0,
 		scratch: make([]float64, opt.Rank),
+		next:    make([]*mat.Dense, t.Order()),
+		drv:     newModeStep(opt.Rank),
 	}
 	ApplyInitScale(st.factors, t, opt)
 	st.aux = make([]*mat.Dense, t.Order())
@@ -144,97 +150,6 @@ func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solv
 	}
 	st.resid = sptensor.Residual(t, sptensor.NewKruskal(st.factors...))
 	return st
-}
-
-// iterateWith performs one Jacobi-style outer iteration: every mode's B and
-// A updates are computed from the iteration-t variables (as Algorithm 3
-// lines 7–12 do, with F and H cached per mode), returning the new factors
-// and aux variables without committing them. grams are the per-mode
-// self-products A(n)ᵀA(n); mttkrp supplies E_(n)·U(n) (in-process for the
-// serial solver, via the engine for DisTenC).
-func (st *solverState) iterateWith(grams []*mat.Dense, mttkrp func(mode int) *mat.Dense) (next, bs []*mat.Dense) {
-	order := st.t.Order()
-	next = make([]*mat.Dense, order)
-	bs = make([]*mat.Dense, order)
-	for n := 0; n < order; n++ {
-		bs[n] = st.updateAux(n)
-		// F_n = U(n)ᵀU(n) via the Hadamard-of-Grams identity (Eq. 12).
-		fn := sptensor.GramProduct(grams, n)
-		// H_n = A(n)·F_n + E_(n)·U(n): the Eq. (16) residual form.
-		h := mat.Mul(st.factors[n], fn)
-		h = mat.AddMat(h, mttkrp(n))
-		// A(n) ← (H + ηB + Y)(F + λI + ηI)⁻¹  (Algorithm 3 line 11).
-		h.AddScaled(st.eta, bs[n])
-		h.AddScaled(1, st.mult[n])
-		lhs := fn.Clone()
-		for i := 0; i < lhs.Rows(); i++ {
-			lhs.Add(i, i, st.opt.Lambda+st.eta)
-		}
-		inv, err := mat.InverseSPD(lhs)
-		if err != nil {
-			// F + (λ+η)I is SPD by construction; reaching this means the
-			// factors carry non-finite values and iteration must stop.
-			panic("core: normal-equation matrix not SPD: " + err.Error())
-		}
-		next[n] = mat.Mul(h, inv)
-	}
-	return next, bs
-}
-
-// updateAux computes B(n) ← (ηI + αL_n)⁻¹(ηA(n) − Y(n)) via the spectral
-// machinery; without auxiliary information L = 0 and the update reduces to
-// (ηA − Y)/η.
-func (st *solverState) updateAux(n int) *mat.Dense {
-	x := st.factors[n].Clone().Scale(st.eta)
-	x.AddScaled(-1, st.mult[n])
-	var b *mat.Dense
-	if st.sp == nil || st.sp[n] == nil {
-		b = x.Scale(1 / st.eta)
-	} else {
-		b = st.sp[n].InverseApply(st.opt.AlphaFor(n), st.eta, x)
-	}
-	if st.opt.NonNegative {
-		data := b.Data()
-		for i, v := range data {
-			if v < 0 {
-				data[i] = 0
-			}
-		}
-	}
-	return b
-}
-
-// advance commits the iteration: Y and η updates (Algorithm 3 lines 12/14),
-// the residual refresh E = Ω∗(T − [[A_{t+1}]]) (§III-D; see DESIGN.md on the
-// Algorithm 3 line-13 typo), and returns the convergence value
-// max_n ‖A_{t+1}−A_t‖²_F.
-func (st *solverState) advance(next, bs []*mat.Dense) float64 {
-	d := st.advanceNoResid(next, bs)
-	t0 := time.Now()
-	st.resid = sptensor.Residual(st.t, sptensor.NewKruskal(st.factors...))
-	st.residDur = time.Since(t0)
-	return d
-}
-
-// advanceNoResid is advance without the driver-side residual refresh —
-// DisTenC's stage recomputes residuals on the cluster instead (§III-D).
-// It also records the consensus gap max_n ‖A(n)−B(n)‖_F for the Algorithm 1
-// stopping criterion.
-func (st *solverState) advanceNoResid(next, bs []*mat.Dense) float64 {
-	var maxDelta, consensus float64
-	for n := range st.factors {
-		d := mat.SubMat(next[n], st.factors[n]).NormF()
-		maxDelta = math.Max(maxDelta, d*d)
-		gap := mat.SubMat(bs[n], next[n])
-		consensus = math.Max(consensus, gap.NormF())
-		// Y(n) ← Y(n) + η(B(n) − A(n)).
-		st.mult[n].AddScaled(st.eta, gap)
-		st.factors[n] = next[n]
-		st.aux[n] = bs[n]
-	}
-	st.eta = math.Min(st.opt.Rho*st.eta, st.opt.EtaMax)
-	st.consensus = consensus
-	return maxDelta
 }
 
 // stop reports whether either stopping criterion fired for delta.

@@ -47,11 +47,17 @@ func TruncatedSpectral(l *Laplacian, k int, rng *rand.Rand) (*Spectral, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("graph: truncation rank %d must be positive", k)
 	}
-	e, err := mat.Lanczos(l, k, 0, rng)
+	return TruncatedSpectralFrom(l, k, mat.LanczosStart(n, rng))
+}
+
+// TruncatedSpectralFrom is TruncatedSpectral with the Lanczos start vector
+// given (see mat.LanczosStart) instead of drawn, for 0 < k < n.
+func TruncatedSpectralFrom(l *Laplacian, k int, start []float64) (*Spectral, error) {
+	e, err := mat.LanczosFrom(l, k, 0, start)
 	if err != nil {
 		return nil, err
 	}
-	return &Spectral{Values: e.Values, Vectors: e.Vectors, n: n, full: false}, nil
+	return &Spectral{Values: e.Values, Vectors: e.Vectors, n: l.Dim(), full: false}, nil
 }
 
 // Rank returns the number of retained eigenpairs K.

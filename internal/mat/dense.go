@@ -264,7 +264,68 @@ func MulABT(a, b *Dense) *Dense {
 }
 
 // Gram returns aᵀ·a (the R×R self-product the paper distributes in Eq. 13).
-func Gram(a *Dense) *Dense { return MulATB(a, a) }
+// Row chunks accumulate the upper triangle of their own partial in
+// parallel (see ForChunks); the partials are summed in chunk order and
+// mirrored once, so the result does not depend on GOMAXPROCS.
+func Gram(a *Dense) *Dense {
+	r := a.cols
+	out := NewDense(r, r)
+	if chunks := NumChunks(a.rows); chunks == 1 {
+		gramChunk(out.data, a, 0, a.rows)
+	} else if chunks > 1 {
+		rr := r * r
+		partials := make([]float64, chunks*rr)
+		ForChunks(a.rows, func(c, lo, hi int) {
+			gramChunk(partials[c*rr:(c+1)*rr], a, lo, hi)
+		})
+		for c := 0; c < chunks; c++ {
+			p := partials[c*rr : (c+1)*rr]
+			for i := 0; i < r; i++ {
+				for j := i; j < r; j++ {
+					out.data[i*r+j] += p[i*r+j]
+				}
+			}
+		}
+	}
+	MirrorUpper(out.data, r)
+	return out
+}
+
+// gramChunk accumulates the upper triangle of a[lo:hi]ᵀ·a[lo:hi] into the
+// zeroed r×r slab g.
+//
+//distenc:hotpath
+func gramChunk(g []float64, a *Dense, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		AddGramUpper(g, a.Row(i))
+	}
+}
+
+// AddGramUpper adds the upper triangle (j ≥ i) of the outer product
+// rowᵀ·row into the row-major len(row)×len(row) slab g; the lower triangle
+// is left for MirrorUpper. Symmetry halves the multiply-adds per row.
+func AddGramUpper(g, row []float64) {
+	r := len(row)
+	for i, vi := range row {
+		if vi == 0 {
+			continue
+		}
+		gi := g[i*r+i : (i+1)*r]
+		for j, vj := range row[i:] {
+			gi[j] += vi * vj
+		}
+	}
+}
+
+// MirrorUpper copies the upper triangle of the row-major r×r slab g onto
+// its lower triangle.
+func MirrorUpper(g []float64, r int) {
+	for i := 1; i < r; i++ {
+		for j := 0; j < i; j++ {
+			g[i*r+j] = g[j*r+i]
+		}
+	}
+}
 
 // MulVec returns a·x as a new vector.
 func MulVec(a *Dense, x []float64) []float64 {

@@ -40,6 +40,31 @@ func Lanczos(op MatVec, k, steps int, rng *rand.Rand) (*Eigen, error) {
 	if k <= 0 || k > n {
 		return nil, fmt.Errorf("mat: Lanczos k=%d out of range for n=%d", k, n)
 	}
+	return LanczosFrom(op, k, steps, LanczosStart(n, rng))
+}
+
+// LanczosStart draws the n-vector Lanczos starts its iteration from, with
+// entries uniform in [-0.5, 0.5). Callers that run several decompositions
+// concurrently draw every start up front, in a fixed order, so the results
+// do not depend on scheduling.
+func LanczosStart(n int, rng *rand.Rand) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.Float64() - 0.5
+	}
+	return v
+}
+
+// LanczosFrom is Lanczos started from the given vector (normalized here;
+// start itself is not modified) instead of a random one.
+func LanczosFrom(op MatVec, k, steps int, start []float64) (*Eigen, error) {
+	n := op.Dim()
+	if k <= 0 || k > n {
+		return nil, fmt.Errorf("mat: Lanczos k=%d out of range for n=%d", k, n)
+	}
+	if len(start) != n {
+		return nil, fmt.Errorf("mat: Lanczos start vector has length %d, want %d", len(start), n)
+	}
 	if steps <= 0 {
 		steps = 2*k + 30
 	}
@@ -56,9 +81,7 @@ func Lanczos(op MatVec, k, steps int, rng *rand.Rand) (*Eigen, error) {
 	beta := make([]float64, steps) // beta[j] couples v_j and v_{j+1}
 
 	v := basis.Row(0)
-	for i := range v {
-		v[i] = rng.Float64() - 0.5
-	}
+	copy(v, start)
 	Normalize(v)
 
 	w := make([]float64, n)

@@ -26,8 +26,17 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("mat: Cholesky of non-square %d×%d", a.rows, a.cols)
 	}
+	l := NewDense(a.rows, a.rows)
+	if err := choleskyInto(l, a); err != nil {
+		return nil, err
+	}
+	return &Cholesky{n: a.rows, l: l}, nil
+}
+
+// choleskyInto writes the lower-triangular Cholesky factor of the square a
+// into the zeroed l (same size), reading only a's lower triangle.
+func choleskyInto(l, a *Dense) error {
 	n := a.rows
-	l := NewDense(n, n)
 	for j := 0; j < n; j++ {
 		var d float64 = a.At(j, j)
 		lrowj := l.Row(j)
@@ -35,7 +44,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			d -= lrowj[k] * lrowj[k]
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotSPD
+			return ErrNotSPD
 		}
 		ljj := math.Sqrt(d)
 		lrowj[j] = ljj
@@ -48,7 +57,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			lrowi[j] = s / ljj
 		}
 	}
-	return &Cholesky{n: n, l: l}, nil
+	return nil
 }
 
 // SolveVec solves A·x = b in place, overwriting b with x.
@@ -222,4 +231,39 @@ func SolveSPD(a, b *Dense) (*Dense, error) {
 // InverseSPD returns A⁻¹ for a symmetric positive definite A.
 func InverseSPD(a *Dense) (*Dense, error) {
 	return SolveSPD(a, Identity(a.rows))
+}
+
+// InverseSPDInto sets dst = A⁻¹ for a symmetric positive definite A with
+// the same arithmetic as InverseSPD, bit for bit. ws (same size as a) holds
+// the Cholesky factor; dst and ws are overwritten and must not alias a.
+// Only the LU fallback, reached when round-off leaves A not numerically
+// positive definite, allocates.
+func InverseSPDInto(dst, a, ws *Dense) error {
+	n := a.rows
+	if a.cols != n || dst.rows != n || dst.cols != n || ws.rows != n || ws.cols != n {
+		panic(dimErr("InverseSPDInto", dst, a))
+	}
+	ws.Zero()
+	if err := choleskyInto(ws, a); err != nil {
+		inv, err := InverseSPD(a)
+		if err != nil {
+			return err
+		}
+		dst.CopyFrom(inv)
+		return nil
+	}
+	// Cholesky.Solve on the identity: solve for column j in row j, then
+	// transpose.
+	c := Cholesky{n: n, l: ws}
+	dst.Zero()
+	for j := 0; j < n; j++ {
+		dst.data[j*n+j] = 1
+		c.SolveVec(dst.Row(j))
+	}
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			dst.data[i*n+j], dst.data[j*n+i] = dst.data[j*n+i], dst.data[i*n+j]
+		}
+	}
+	return nil
 }
